@@ -36,6 +36,7 @@ their two traces are identical by construction unless something leaks.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -375,12 +376,14 @@ def parse_fuzz_name(name: str) -> tuple[int, int, int, bool]:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def build_fuzz_workload(name: str) -> Workload:
     """Rebuild a synthesized workload from its self-describing name.
 
     Repaired variants re-run the (deterministic) repair loop on the
     synthesized program, so any worker reconstructs the exact repaired
-    binary without shipping sources between processes.
+    binary without shipping sources between processes.  Memoised per
+    process: a campaign looks each name up several times (Workload is frozen).
     """
     seed, index, fill, repaired = parse_fuzz_name(name)
     spec = synthesize_item(seed, index)

@@ -10,7 +10,8 @@ keeping coherence trivially correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 from .replacement import make_replacement
@@ -65,7 +66,12 @@ class CacheGeometry:
 
 
 class Cache:
-    """One level of set-associative cache."""
+    """One level of set-associative cache.
+
+    State is proportional to what a run touches: a presence index keyed by
+    line number (a line names its own set and tag), a dirty-line set, and
+    per-set way arrays created on a set's first fill (DESIGN.md §6).
+    """
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
@@ -73,107 +79,84 @@ class Cache:
         self.line_bits = geometry.line_bytes.bit_length() - 1
         if (1 << self.line_bits) != geometry.line_bytes:
             raise ConfigError(f"line size {geometry.line_bytes} not a power of two")
-        # num_sets is a power of two (CacheGeometry enforces it), so the
-        # set/tag split is a mask + shift.
+        # num_sets is a power of two (CacheGeometry enforces it): a mask.
         self._set_mask = self.num_sets - 1
-        self._set_bits = self.num_sets.bit_length() - 1
-        self._tags: list[list[int]] = [[0] * geometry.assoc for _ in range(self.num_sets)]
-        self._valid: list[list[bool]] = [
-            [False] * geometry.assoc for _ in range(self.num_sets)
-        ]
-        self._dirty: list[list[bool]] = [
-            [False] * geometry.assoc for _ in range(self.num_sets)
-        ]
-        # Presence index: per-set {tag: way}, kept in sync with the way
-        # arrays by fill/invalidate so the per-access way search is one
-        # dict probe instead of an associativity-wide scan.
-        self._map: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
-        self._repl = make_replacement(geometry.replacement, self.num_sets, geometry.assoc)
+        assoc = geometry.assoc
+        self._where: dict[int, int] = {}  # resident line -> way
+        self._ways: defaultdict[int, list[int | None]] = defaultdict(
+            lambda: [None] * assoc)  # set -> line per way, on first fill
+        self._dirty: set[int] = set()
+        self._repl = make_replacement(geometry.replacement, self.num_sets, assoc)
         self.stats = CacheStats()
 
     # ----------------------------------------------------------- addressing
     def line_of(self, address: int) -> int:
         return address >> self.line_bits
 
-    def _set_tag(self, line: int) -> tuple[int, int]:
-        return line & self._set_mask, line >> self._set_bits
-
-    def _find(self, line: int) -> tuple[int, int | None]:
-        set_index = line & self._set_mask
-        return set_index, self._map[set_index].get(line >> self._set_bits)
-
     # -------------------------------------------------------------- queries
     def contains(self, address: int) -> bool:
         """Presence probe with NO side effects (attack receivers use this)."""
-        _, way = self._find(self.line_of(address))
-        return way is not None
+        return (address >> self.line_bits) in self._where
 
     # -------------------------------------------------------------- accesses
     def access(self, address: int, is_write: bool) -> bool:
         """Look up the line; updates recency and stats.  True on hit."""
         line = address >> self.line_bits
-        set_index = line & self._set_mask
-        way = self._map[set_index].get(line >> self._set_bits)
+        way = self._where.get(line)
         if way is None:
             self.stats.misses += 1
             return False
         self.stats.hits += 1
-        self._repl.on_access(set_index, way)
+        self._repl.on_access(line & self._set_mask, way)
         if is_write:
-            self._dirty[set_index][way] = True
+            self._dirty.add(line)
         return True
 
     def fill(self, address: int, dirty: bool = False) -> int | None:
         """Install the line; returns the evicted line number (or None).
 
-        Counts a writeback when the victim was dirty.
+        Counts a writeback when the victim was dirty.  The victim is the
+        first invalid way, else the replacement policy's choice.
         """
-        line = self.line_of(address)
-        set_index, way = self._find(line)
+        line = address >> self.line_bits
+        set_index = line & self._set_mask
+        way = self._where.get(line)
         if way is not None:
             # Already present (e.g. race between demand fill and prefetch).
             self._repl.on_access(set_index, way)
             if dirty:
-                self._dirty[set_index][way] = True
+                self._dirty.add(line)
             return None
-        tag = line >> self._set_bits
-        victim_way = self._repl.victim(set_index, self._valid[set_index])
-        evicted: int | None = None
-        tag_map = self._map[set_index]
-        if self._valid[set_index][victim_way]:
+        ways = self._ways[set_index]
+        way = ways.index(None) if None in ways else self._repl.victim(set_index)
+        evicted = ways[way]
+        if evicted is not None:
             self.stats.evictions += 1
-            if self._dirty[set_index][victim_way]:
+            if evicted in self._dirty:
                 self.stats.writebacks += 1
-            victim_tag = self._tags[set_index][victim_way]
-            evicted = victim_tag * self.num_sets + set_index
-            del tag_map[victim_tag]
-        self._tags[set_index][victim_way] = tag
-        self._valid[set_index][victim_way] = True
-        self._dirty[set_index][victim_way] = dirty
-        tag_map[tag] = victim_way
-        self._repl.on_fill(set_index, victim_way)
+                self._dirty.discard(evicted)
+            del self._where[evicted]
+        ways[way] = line
+        self._where[line] = way
+        if dirty:
+            self._dirty.add(line)
+        self._repl.on_fill(set_index, way)
         return evicted
 
     def invalidate(self, address: int) -> bool:
         """Drop the line if present; True if it was present."""
-        line = self.line_of(address)
-        set_index, way = self._find(line)
+        line = address >> self.line_bits
+        way = self._where.pop(line, None)
         if way is None:
             return False
-        if self._dirty[set_index][way]:
+        if line in self._dirty:
             self.stats.writebacks += 1
-        self._valid[set_index][way] = False
-        self._dirty[set_index][way] = False
-        del self._map[set_index][line >> self._set_bits]
+            self._dirty.discard(line)
+        self._ways[line & self._set_mask][way] = None
         self.stats.flushes += 1
         return True
 
     # ------------------------------------------------------------- utilities
     def resident_lines(self) -> set[int]:
         """All resident line numbers (test/debug aid)."""
-        lines = set()
-        for set_index in range(self.num_sets):
-            for way in range(self.geometry.assoc):
-                if self._valid[set_index][way]:
-                    lines.add(self._tags[set_index][way] * self.num_sets + set_index)
-        return lines
+        return set(self._where)

@@ -1,13 +1,16 @@
 """Cache replacement policies.
 
 Policies manage per-set recency metadata; the cache asks them which way to
-victimize on a fill.  All policies are deterministic (the "random" policy is
-a seeded xorshift) so simulations reproduce exactly.
+victimize when a fill finds its set full (an invalid way is always taken
+first, by the cache).  Per-set metadata is created on the set's first touch.
+All policies are deterministic (the "random" policy is a seeded xorshift) so
+simulations reproduce exactly.
 """
 
 from __future__ import annotations
 
 import abc
+from collections import defaultdict
 
 
 class ReplacementPolicy(abc.ABC):
@@ -22,8 +25,8 @@ class ReplacementPolicy(abc.ABC):
         """A hit touched this way."""
 
     @abc.abstractmethod
-    def victim(self, set_index: int, valid: list[bool]) -> int:
-        """Choose a way to evict (prefer invalid ways)."""
+    def victim(self, set_index: int) -> int:
+        """Choose a way to evict from a full set."""
 
     def on_fill(self, set_index: int, way: int) -> None:
         """A fill installed into this way (default: treat as access)."""
@@ -35,17 +38,14 @@ class LruPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, num_ways: int):
         super().__init__(num_sets, num_ways)
-        self._stamps = [[0] * num_ways for _ in range(num_sets)]
+        self._stamps = defaultdict(lambda: [0] * num_ways)
         self._clock = 0
 
     def on_access(self, set_index: int, way: int) -> None:
         self._clock += 1
         self._stamps[set_index][way] = self._clock
 
-    def victim(self, set_index: int, valid: list[bool]) -> int:
-        for way, v in enumerate(valid):
-            if not v:
-                return way
+    def victim(self, set_index: int) -> int:
         stamps = self._stamps[set_index]
         return stamps.index(min(stamps))
 
@@ -57,7 +57,7 @@ class TreePlruPolicy(ReplacementPolicy):
         super().__init__(num_sets, num_ways)
         if num_ways & (num_ways - 1):
             raise ValueError("tree PLRU requires power-of-two associativity")
-        self._bits = [[False] * max(1, num_ways - 1) for _ in range(num_sets)]
+        self._bits = defaultdict(lambda: [False] * max(1, num_ways - 1))
 
     def on_access(self, set_index: int, way: int) -> None:
         bits = self._bits[set_index]
@@ -73,10 +73,7 @@ class TreePlruPolicy(ReplacementPolicy):
             else:
                 high = mid
 
-    def victim(self, set_index: int, valid: list[bool]) -> int:
-        for way, v in enumerate(valid):
-            if not v:
-                return way
+    def victim(self, set_index: int) -> int:
         bits = self._bits[set_index]
         node = 0
         low, high = 0, self.num_ways
@@ -109,10 +106,7 @@ class SeededRandomPolicy(ReplacementPolicy):
     def on_access(self, set_index: int, way: int) -> None:
         pass
 
-    def victim(self, set_index: int, valid: list[bool]) -> int:
-        for way, v in enumerate(valid):
-            if not v:
-                return way
+    def victim(self, set_index: int) -> int:
         return self._next() % self.num_ways
 
 

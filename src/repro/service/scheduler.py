@@ -348,8 +348,11 @@ class Scheduler:
         except Exception:
             # Some member failed; the per-flight fallback attributes it.
             return None
+        # One observation per member: _count == simulations, _sum unchanged.
+        per_member = (time.monotonic() - attempt_started) / len(flights)
         self.m_simulations.inc(len(flights))
-        self.m_sim_seconds.observe(time.monotonic() - attempt_started)
+        for _ in flights:
+            self.m_sim_seconds.observe(per_member)
         return records
 
     async def _execute(self, flight: Flight) -> RunRecord:

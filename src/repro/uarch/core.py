@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import heapq
 import os
+import sys
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..asm.program import STACK_TOP, Program
 from ..branch import BranchTargetBuffer, ReturnAddressStack, make_predictor
@@ -64,6 +66,9 @@ from .trace import ObservationTrace
 _DYN_POOL_MAX = 1024
 
 EMPTY_DEPS: frozenset[int] = frozenset()
+
+_NO_FENCE = sys.maxsize  # oldest-fence seq with none in flight
+_by_seq = attrgetter("seq")
 
 
 @dataclass
@@ -804,9 +809,14 @@ class OooCore:
                     still_deferred.append(dyn)
             self.deferred_values = still_deferred
 
+        # Fences enter at dispatch and leave at commit/squash, never during
+        # issue: the oldest in-flight fence is fixed for this whole pass.
+        fences = self.inflight_fences
+        oldest_fence = min(fences) if fences else _NO_FENCE
+
         # Retry policy/memdep-blocked memory ops first (oldest first).
         if self.pending_loads and retry:
-            self.pending_loads.sort(key=lambda d: d.seq)
+            self.pending_loads.sort(key=_by_seq)
             still_blocked: list[DynInst] = []
             for dyn in self.pending_loads:
                 if dyn.squashed:
@@ -815,7 +825,11 @@ class OooCore:
                     still_blocked.append(dyn)
                     self._retry_event = True  # resource block: retry next cycle
                     continue
-                issued = self._try_issue_mem(dyn, cycle)
+                if oldest_fence < dyn.seq:  # _try_issue_mem's fence block
+                    self.stats.memdep_blocked_cycles += 1
+                    still_blocked.append(dyn)
+                    continue
+                issued = self._try_issue_mem(dyn, cycle, oldest_fence)
                 if issued:
                     budget -= 1
                     mem_ports -= 1
@@ -825,7 +839,7 @@ class OooCore:
 
         # Retry policy-gated control instructions (oldest first).
         if self.pending_ctrl and retry:
-            self.pending_ctrl.sort(key=lambda d: d.seq)
+            self.pending_ctrl.sort(key=_by_seq)
             still_gated: list[DynInst] = []
             for dyn in self.pending_ctrl:
                 if dyn.squashed:
@@ -892,7 +906,7 @@ class OooCore:
                     if mem_ports <= 0:
                         overflow.append((dyn.seq, dyn))
                         continue
-                    issued = self._try_issue_mem(dyn, cycle)
+                    issued = self._try_issue_mem(dyn, cycle, oldest_fence)
                     if issued:
                         budget -= 1
                         mem_ports -= 1
@@ -981,8 +995,10 @@ class OooCore:
         heapq.heappush(self.completions, (cycle + latency, dyn.seq, dyn))
 
     # ------------------------------------------------------------ memory ops
-    def _try_issue_mem(self, dyn: DynInst, cycle: int) -> bool:
-        """Attempt to issue a load/store/cflush; False leaves it pending."""
+    def _try_issue_mem(self, dyn: DynInst, cycle: int, oldest_fence: int) -> bool:
+        """Attempt to issue a load/store/cflush; False leaves it pending.
+
+        ``oldest_fence`` is the oldest in-flight fence's seq (or _NO_FENCE)."""
         inst = dyn.inst
         opcode = inst.opcode
         if dyn.mem_address is None:
@@ -1007,7 +1023,7 @@ class OooCore:
             return True
 
         # Memory ordering: an older in-flight fence blocks younger memory ops.
-        if self.inflight_fences and min(self.inflight_fences) < dyn.seq:
+        if oldest_fence < dyn.seq:
             self.stats.memdep_blocked_cycles += 1
             return False
 

@@ -191,6 +191,35 @@ def test_campaign_end_to_end_and_deterministic():
             assert row["repair"]["slowdown"]["none"] >= 1.0
 
 
+def test_campaign_repairs_each_repaired_workload_once(monkeypatch):
+    """The driver repairs each target once, and each repaired workload
+    name is built once per process however often it is looked up."""
+    import repro.adversarial.campaign as campaign_mod
+    import repro.adversarial.repair as repair_mod
+
+    calls = []
+    real_repair = repair_mod.repair_program
+
+    def counting_repair(program, *args, **kwargs):
+        calls.append(program.name)
+        return real_repair(program, *args, **kwargs)
+
+    monkeypatch.setattr(repair_mod, "repair_program", counting_repair)
+    monkeypatch.setattr(campaign_mod, "repair_program", counting_repair)
+    config = CampaignConfig.resolve(seed=7, count=8, repair=True)
+
+    build_fuzz_workload.cache_clear()
+    cold = run_campaign(config, ParallelRunner(scale="test", jobs=1))
+    targets = cold["repair"]["repaired_items"]
+    assert targets > 0
+    assert len(calls) == targets + targets * len(config.fills)
+    assert len(set(calls)) == len(calls)
+
+    warm = run_campaign(config, ParallelRunner(scale="test", jobs=1))
+    assert len(calls) == 2 * targets + targets * len(config.fills)
+    assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)
+
+
 def test_cli_fuzz_and_gates(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main([

@@ -1,11 +1,15 @@
 """Backing memory, caches, MSHRs, DRAM, hierarchy."""
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.mem import (
     Cache,
     CacheGeometry,
+    CacheStats,
     DramModel,
     MemHierarchyConfig,
     MemoryHierarchy,
@@ -100,6 +104,154 @@ def test_tree_plru_cache_works():
     for i in range(8):
         cache.fill(i * 64 * 2)  # same set (stride = sets*line)
     assert len(cache.resident_lines()) <= 8
+
+
+class EagerCache:
+    """Reference model: every set's way, tag, dirty and replacement state
+    allocated up front, victims found by scanning the ways."""
+
+    def __init__(self, sets, assoc, repl):
+        self.sets, self.assoc, self.repl = sets, assoc, repl
+        self.tags = [[0] * assoc for _ in range(sets)]
+        self.valid = [[False] * assoc for _ in range(sets)]
+        self.dirty = [[False] * assoc for _ in range(sets)]
+        self.stamps = [[0] * assoc for _ in range(sets)]
+        self.bits = [[False] * max(1, assoc - 1) for _ in range(sets)]
+        self.clock = 0
+        self.rng = 0x9E3779B9
+        self.stats = CacheStats()
+
+    def _find(self, address):
+        line = address // 64
+        s, tag = line % self.sets, line // self.sets
+        for way in range(self.assoc):
+            if self.valid[s][way] and self.tags[s][way] == tag:
+                return s, tag, way
+        return s, tag, None
+
+    def _touch(self, s, way):
+        if self.repl == "lru":
+            self.clock += 1
+            self.stamps[s][way] = self.clock
+        elif self.repl == "tree_plru":
+            node, low, high = 0, 0, self.assoc
+            while high - low > 1:
+                mid = (low + high) // 2
+                right = way >= mid
+                self.bits[s][node] = not right
+                node = 2 * node + (2 if right else 1)
+                low, high = (mid, high) if right else (low, mid)
+
+    def _victim(self, s):
+        if not all(self.valid[s]):
+            return self.valid[s].index(False)
+        if self.repl == "lru":
+            return self.stamps[s].index(min(self.stamps[s]))
+        if self.repl == "tree_plru":
+            node, low, high = 0, 0, self.assoc
+            while high - low > 1:
+                mid = (low + high) // 2
+                right = self.bits[s][node]
+                node = 2 * node + (2 if right else 1)
+                low, high = (mid, high) if right else (low, mid)
+            return low
+        x = self.rng
+        x ^= (x << 13) & 0xFFFFFFFFFFFFFFFF
+        x ^= x >> 7
+        x ^= (x << 17) & 0xFFFFFFFFFFFFFFFF
+        self.rng = x
+        return x % self.assoc
+
+    def access(self, address, is_write):
+        s, _, way = self._find(address)
+        if way is None:
+            self.stats.misses += 1
+            return False
+        self.stats.hits += 1
+        self._touch(s, way)
+        if is_write:
+            self.dirty[s][way] = True
+        return True
+
+    def fill(self, address, dirty=False):
+        s, tag, way = self._find(address)
+        if way is not None:
+            self._touch(s, way)
+            if dirty:
+                self.dirty[s][way] = True
+            return None
+        way = self._victim(s)
+        evicted = None
+        if self.valid[s][way]:
+            self.stats.evictions += 1
+            self.stats.writebacks += self.dirty[s][way]
+            evicted = self.tags[s][way] * self.sets + s
+        self.tags[s][way], self.valid[s][way] = tag, True
+        self.dirty[s][way] = dirty
+        self._touch(s, way)
+        return evicted
+
+    def invalidate(self, address):
+        s, _, way = self._find(address)
+        if way is None:
+            return False
+        self.stats.writebacks += self.dirty[s][way]
+        self.valid[s][way] = self.dirty[s][way] = False
+        self.stats.flushes += 1
+        return True
+
+    def resident_lines(self):
+        return {
+            self.tags[s][w] * self.sets + s
+            for s in range(self.sets)
+            for w in range(self.assoc)
+            if self.valid[s][w]
+        }
+
+
+_cache_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("access", "fill", "invalidate")),
+        st.integers(0, 1 << 16),  # line, folded onto ~2x capacity below
+        st.integers(0, 63),       # byte offset within the line
+        st.booleans(),            # is_write / dirty
+    ),
+    max_size=200,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    repl=st.sampled_from(("lru", "tree_plru", "random")),
+    assoc=st.sampled_from((1, 2, 4)),
+    sets=st.sampled_from((1, 2, 4)),
+    ops=_cache_ops,
+)
+def test_lazy_cache_matches_eager_reference(repl, assoc, sets, ops):
+    cache = small_cache(assoc=assoc, sets=sets, repl=repl)
+    ref = EagerCache(sets, assoc, repl)
+    lines = 2 * sets * assoc + 1  # enough to conflict, few enough to recur
+    for op, line, offset, flag in ops:
+        address = (line % lines) * 64 + offset
+        if op == "invalidate":
+            got, want = cache.invalidate(address), ref.invalidate(address)
+        else:
+            got, want = getattr(cache, op)(address, flag), getattr(ref, op)(address, flag)
+        assert got == want, (op, line)
+    assert cache.stats == ref.stats
+    assert cache.resident_lines() == ref.resident_lines()
+
+
+def test_default_hierarchy_construction_is_small():
+    MemoryHierarchy()  # warm imports and interned objects
+    tracemalloc.start()
+    try:
+        hierarchy = MemoryHierarchy()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hierarchy.l1d.resident_lines() == set()
+    assert peak < 64 * 1024
 
 
 # --------------------------------------------------------------------- MSHR

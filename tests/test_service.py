@@ -362,6 +362,34 @@ def test_priority_orders_queued_work(service):
     assert all(j["state"] == "done" for j in finals.values())
 
 
+def test_lockstep_batch_observes_one_duration_per_simulation(monkeypatch):
+    """A 2-point lockstep batch counts two simulations and two durations."""
+    from repro.service.scheduler import Scheduler
+
+    monkeypatch.delenv("REPRO_NO_LOCKSTEP", raising=False)
+    batch_sizes: list[int] = []
+    execute_batch = Scheduler._execute_batch
+
+    async def counting(self, flights):
+        batch_sizes.append(len(flights))
+        return await execute_batch(self, flights)
+
+    monkeypatch.setattr(Scheduler, "_execute_batch", counting)
+    with ServiceThread(ServiceConfig(port=0, jobs=1)) as server:
+        local = ServiceClient(server.base_url)
+        server.pause()
+        try:
+            jobs = local.submit([{"workload": "crc", "policy": "none"},
+                                 {"workload": "crc", "policy": "levioso"}])
+        finally:
+            server.resume()
+        local.wait([j["id"] for j in jobs], timeout=120)
+        m = local.metrics()
+    assert batch_sizes == [2]
+    assert m["repro_service_simulations_total"] == 2
+    assert m["repro_service_simulation_seconds_count"] == 2
+
+
 def test_http_metrics_endpoint_content_type(service):
     with urllib.request.urlopen(service.base_url + "/metrics") as resp:
         assert resp.status == 200

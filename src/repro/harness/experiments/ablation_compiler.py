@@ -5,6 +5,11 @@ Runs Levioso with full metadata and with reconvergence points erased
 every branch region extends to resolution and Levioso degenerates toward
 the conservative baseline — quantifying how much of the win is the
 *compiler's* contribution (the paper's co-design argument).
+
+Both arms are normalized to the one shared unprotected run: the
+unprotected core's timing never reads the metadata, so its run without
+metadata would take the same cycles (``tests/test_ablations.py`` checks
+every core and memory counter on the subset).
 """
 
 from __future__ import annotations
@@ -27,7 +32,11 @@ def run(
     ctt_all: list[float] = []
     for name in workloads:
         informed = runner.overhead(name, "levioso")
-        blind = runner.overhead(name, "levioso", use_compiler_info=False)
+        blind = (
+            runner.run(name, "levioso", use_compiler_info=False).cycles
+            / runner.run(name, "none").cycles
+            - 1.0
+        )
         ctt = runner.overhead(name, "ctt")
         informed_all.append(informed)
         blind_all.append(blind)

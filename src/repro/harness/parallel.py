@@ -106,6 +106,10 @@ class ParallelRunner(ExperimentRunner):
     With ``keep_going=True``, permanently failed points do not raise:
     ``run()`` returns a NaN-filled hole record for them so experiments
     can render partial tables (see ``resilience.scrub_holes``).
+
+    :attr:`report` accumulates every prefetch pass on this runner (an
+    experiment may prefetch its own sweep after the shared grid), so a
+    failure or pool rebuild in one pass is never dropped by the next.
     """
 
     def __init__(self, scale: str = "ref", config: CoreConfig | None = None,
@@ -163,7 +167,6 @@ class ParallelRunner(ExperimentRunner):
             # evicted) must re-simulate: resume never invents results.
             seen.add(key)
             todo.append((key, point))
-        self.report = ResilienceReport()
         if not todo:
             return 0
 
@@ -189,10 +192,11 @@ class ParallelRunner(ExperimentRunner):
                         policy=member.policy if member else item.policy,
                         attempts=item.attempts)
 
-        self.report = execute_supervised(
+        report = execute_supervised(
             items, simulate_work, self.jobs, self.retry_policy, on_success,
         )
-        for outcome in self.report.failed:
+        self.report.absorb(report)
+        for outcome in report.failed:
             members = batch_members.get(outcome.key)
             if members is None:
                 failed = [(outcome.key, outcome.workload, outcome.policy)]
@@ -207,20 +211,20 @@ class ParallelRunner(ExperimentRunner):
                                         workload=workload,
                                         policy=policy,
                                         attempts=outcome.attempts)
-        if self.report.failed and not self.keep_going:
+        if report.failed and not self.keep_going:
             names = ", ".join(
                 f"{o.workload}/{o.policy} ({o.status} after "
                 f"{o.attempts} attempt(s))"
-                for o in self.report.failed
+                for o in report.failed
             )
             raise HarnessError(
-                f"{len(self.report.failed)} grid point(s) failed permanently "
+                f"{len(report.failed)} grid point(s) failed permanently "
                 f"after supervision: {names} — rerun with --keep-going to "
                 f"render a partial table around them"
             )
         return sum(
             len(batch_members.get(o.key, (o,)))
-            for o in self.report.outcomes
+            for o in report.outcomes
             if o.status in ("ok", "retried")
         )
 
@@ -362,9 +366,13 @@ def _grid_swcmp(runner: ExperimentRunner) -> list[GridPoint]:
     return points
 
 
-#: Experiments whose core-simulation grid is known statically.  The rest
-#: (table1/table2/fig5/ablationC) drive the simulators directly and gain
-#: nothing from prefetching.
+#: Experiments whose core-simulation grid is known statically.  table1,
+#: table2 and fig5 drive no core-grid simulation and gain nothing from
+#: prefetching.  ablationC prefetches its own width sweep through the
+#: runner it is given, one pass after the shared grid; it stays out of
+#: this table because the benchmark's cycle pins label every point the
+#: shared grid plans, and the sweep's bounded-width points have no pin
+#: yet (folding it in goes together with a re-pin).
 GRID_PLANNERS: dict[str, Callable[[ExperimentRunner], list[GridPoint]]] = {
     "fig1": _grid_fig1,
     "fig2": _grid_fig2,
@@ -421,10 +429,11 @@ def run_experiments(
     from .resilience import failed_experiment_result, scrub_holes
 
     store: dict[str, RunRecord] = {}
-    planner = ParallelRunner(scale=scale, jobs=jobs, cache=cache,
-                             verbose=verbose, store=store)
-    grid = plan_experiment_grid(experiment_ids, planner)
-    journal = None
+    runner = ParallelRunner(scale=scale, jobs=jobs, cache=cache,
+                            verbose=verbose, store=store,
+                            retry_policy=retry_policy, keep_going=keep_going,
+                            resume=resume)
+    grid = plan_experiment_grid(experiment_ids, runner)
     if journal_path is not None or resume:
         if cache is None:
             raise HarnessError(
@@ -433,17 +442,13 @@ def run_experiments(
             )
         if journal_path is None:
             keys = [
-                planner.run_key_for(p.workload, p.policy,
-                                    p.config or planner.config,
-                                    p.use_compiler_info)
+                runner.run_key_for(p.workload, p.policy,
+                                   p.config or runner.config,
+                                   p.use_compiler_info)
                 for p in grid
             ]
             journal_path = journal_path_for(cache.root, keys, scale)
-        journal = RunJournal(journal_path)
-    runner = ParallelRunner(scale=scale, jobs=jobs, cache=cache,
-                            verbose=verbose, store=store,
-                            retry_policy=retry_policy, keep_going=keep_going,
-                            journal=journal, resume=resume)
+        runner.journal = RunJournal(journal_path)
     runner.prefetch(grid)
 
     results = {}

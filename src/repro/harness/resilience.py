@@ -35,6 +35,8 @@ import hashlib
 import json
 import math
 import os
+import signal
+import threading
 import time
 import traceback
 from collections import Counter
@@ -121,6 +123,14 @@ class ResilienceReport:
     @property
     def ok(self) -> bool:
         return not self.failed
+
+    def absorb(self, other: "ResilienceReport") -> None:
+        """Fold a later supervised pass into this report."""
+        self.outcomes.extend(other.outcomes)
+        self.pool_rebuilds += other.pool_rebuilds
+        self.degraded_to_serial = (
+            self.degraded_to_serial or other.degraded_to_serial
+        )
 
     def text(self) -> str:
         from .tables import format_table
@@ -239,6 +249,40 @@ def simulate_point(args: tuple) -> RunRecord:
     return record.slim()
 
 
+# ------------------------------------------------------------ worker pool
+#: Seconds between a pool worker's checks that its parent is still alive.
+ORPHAN_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(ORPHAN_POLL_S)
+    os._exit(0)
+
+
+def _init_pool_worker() -> None:
+    """Initializer of every simulation pool worker.
+
+    A forked worker inherits its parent's signal set-up.  Under
+    ``repro serve`` that is the event loop's drain handler, so SIGTERM
+    would only poke the parent's wakeup fd and the worker would ignore
+    it: restore the defaults.  A parent killed with SIGKILL cannot shut
+    its pool down, and the orphan would block on its call queue forever,
+    so the worker also exits once it has been reparented.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
+                     name="orphan-watch", daemon=True).start()
+
+
+def new_process_pool(workers: int) -> cf.ProcessPoolExecutor:
+    """A simulation worker pool whose workers die with their parent."""
+    return cf.ProcessPoolExecutor(max_workers=workers,
+                                  initializer=_init_pool_worker)
+
+
 # -------------------------------------------------------------- supervisor
 def _failure_outcome(item: WorkItem, exc: BaseException,
                      status: str) -> RunOutcome:
@@ -324,7 +368,7 @@ def execute_supervised(
         return report
 
     workers = min(jobs, len(items))
-    pool = cf.ProcessPoolExecutor(max_workers=workers)
+    pool = new_process_pool(workers)
     pending: dict[cf.Future, WorkItem] = {}
     retry_at: list[tuple[float, WorkItem]] = []  # (due monotonic time, item)
 
@@ -340,7 +384,7 @@ def execute_supervised(
         pool.shutdown(wait=False, cancel_futures=True)
         if report.pool_rebuilds > policy.max_pool_rebuilds:
             return False
-        pool = cf.ProcessPoolExecutor(max_workers=workers)
+        pool = new_process_pool(workers)
         return True
 
     def drain_to_serial() -> None:

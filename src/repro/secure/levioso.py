@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING
 from .policy import SpeculationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..uarch.config import CoreConfig
     from ..uarch.core import OooCore
     from ..uarch.dyninst import DynInst
 
@@ -42,24 +43,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class LeviosoPolicy(SpeculationPolicy):
     """Compiler-informed comprehensive secure speculation.
 
-    ``max_tracked_deps`` models a bounded hardware dependency matrix: when
-    an instruction's true-dependency set exceeds the matrix width, the
-    hardware cannot represent it precisely and must fall back to the
-    conservative rule (wait for *all* older control instructions) — the
-    storage-budget ablation. ``None`` models the paper's full tracking.
+    ``CoreConfig.dep_matrix_width`` models a bounded hardware dependency
+    matrix: when an instruction's true-dependency set exceeds the matrix
+    width, the hardware cannot represent it precisely and must fall back
+    to the conservative rule (wait for *all* older control instructions)
+    — the storage-budget ablation.  ``None`` models the paper's full
+    tracking; the width is bound by :meth:`configure`.
     """
 
     name = "levioso"
     uses_taint_roots = False
     protects_speculative_secrets = True
     protects_nonspeculative_secrets = True
+    dep_matrix_width: int | None = None
 
-    def __init__(self, max_tracked_deps: int | None = None):
-        super().__init__()
-        self.max_tracked_deps = max_tracked_deps
+    def configure(self, config: "CoreConfig") -> None:
+        self.dep_matrix_width = config.dep_matrix_width
 
     def _deps_safe(self, deps, dyn: "DynInst", core: "OooCore") -> bool:
-        width = self.max_tracked_deps
+        width = self.dep_matrix_width
         if width is None:
             return not core.any_unresolved(deps)
         # Matrix columns exist per *unresolved* branch and clear at

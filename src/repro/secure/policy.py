@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..uarch.config import CoreConfig
     from ..uarch.core import OooCore
     from ..uarch.dyninst import DynInst
 
@@ -69,6 +70,13 @@ class SpeculationPolicy(abc.ABC):
 
     def __init__(self) -> None:
         self.stats = PolicyStats()
+
+    def configure(self, config: "CoreConfig") -> None:
+        """Bind the hardware budget of the core this policy guards.
+
+        Called once by the core at construction, so the predicates never
+        read ``core.config``.  Default: the policy has no budget to bind.
+        """
 
     @property
     def comprehensive(self) -> bool:

@@ -35,7 +35,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from ..harness.cache import ResultCache
 from ..harness.lockstep import LOCKSTEP_MAX, lockstep_enabled, simulate_batch
-from ..harness.resilience import RetryPolicy, simulate_point
+from ..harness.resilience import RetryPolicy, new_process_pool, simulate_point
 from ..harness.runner import RunRecord
 from .jobs import DONE, FAILED, RUNNING, Flight, JobStore
 from .metrics import MetricsRegistry
@@ -59,8 +59,7 @@ class WorkerPool:
         self.generation = 0
         self.rebuilds = 0
         self.degraded = False
-        self._pool: cf.Executor = cf.ProcessPoolExecutor(
-            max_workers=self.workers)
+        self._pool: cf.Executor = new_process_pool(self.workers)
 
     def submit(self, args: tuple) -> tuple[cf.Future, int]:
         return self._pool.submit(simulate_point, args), self.generation
@@ -83,7 +82,7 @@ class WorkerPool:
             # loop stays responsive for health checks and status reads.
             self._pool = cf.ThreadPoolExecutor(max_workers=1)
         else:
-            self._pool = cf.ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = new_process_pool(self.workers)
 
     def shutdown(self, wait: bool = True) -> None:
         # A clean stop joins the (idle, post-drain) workers so the

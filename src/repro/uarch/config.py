@@ -49,6 +49,10 @@ class CoreConfig:
     agu_latency: int = 1               # address generation before cache access
     store_forward_latency: int = 2
 
+    # Secure-speculation hardware budget: columns of Levioso's per-
+    # instruction dependency matrix (None = unbounded tracking).
+    dep_matrix_width: int | None = None
+
     # Memory system
     mem: MemHierarchyConfig = field(default_factory=MemHierarchyConfig)
 
@@ -65,6 +69,11 @@ class CoreConfig:
         for name in positive_fields:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"CoreConfig.{name} must be positive")
+        width = self.dep_matrix_width
+        if width is not None and (not isinstance(width, int) or width < 1):
+            raise ConfigError(
+                "CoreConfig.dep_matrix_width must be a positive integer or None"
+            )
         if self.rob_size < self.iq_size:
             raise ConfigError("ROB must be at least as large as the IQ")
 

@@ -120,6 +120,7 @@ class OooCore:
         self.program = program
         self.config = config or CoreConfig()
         self.policy = policy or NoProtection()
+        self.policy.configure(self.config)
         self.record_trace = record_trace
         self.record_pipeline = record_pipeline
         # Observation-trace capture for the differential leakage oracle:

@@ -507,6 +507,28 @@ def test_keep_going_renders_holes(tmp_path):
     assert HOLE in result.text()
 
 
+def test_report_accumulates_across_prefetch_passes(tmp_path):
+    # An experiment may prefetch its own sweep after the shared grid: a
+    # failure in the first pass must survive into the run's report.
+    runner = ParallelRunner(
+        scale="test", jobs=1, keep_going=True,
+        retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
+    )
+    bad_key = runner.run_key_for("gather", "none")
+    FaultPlan(
+        [FaultSpec("worker", "exception", match=bad_key, times=99,
+                   persistent=True)],
+        state_dir=tmp_path,
+    ).install()
+    runner.prefetch([GridPoint("gather", "none")])
+    runner.prefetch([GridPoint("pchase", "none")])
+    report = runner.report
+    assert not report.ok
+    assert [(o.workload, o.status) for o in report.outcomes] == [
+        ("gather", "failed"), ("pchase", "ok")]
+    assert report.text().startswith("resilience: 1 ok, 1 failed")
+
+
 def test_failed_run_record_is_all_nan():
     record = failed_run_record("w", "p")
     assert math.isnan(record.cycles)

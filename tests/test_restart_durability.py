@@ -104,6 +104,42 @@ def test_daemon_restart_serves_completed_keys_from_disk(tmp_path):
             proc.wait(timeout=30)
 
 
+def _children(pid: int) -> set[int]:
+    kids: set[int] = set()
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        kids.update(int(c) for c in (task / "children").read_text().split())
+    return kids
+
+
+def _alive(pid: int) -> bool:
+    """Running, as opposed to gone or a zombie waiting to be reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task").is_dir(),
+                    reason="reads worker pids from /proc")
+def test_sigkilled_daemon_leaves_no_pool_worker(tmp_path):
+    proc, url = _spawn_daemon(tmp_path / "cache", tmp_path / "serve.log")
+    try:
+        ServiceClient(url).run_grid(RUNS[:1], timeout=120.0)
+        workers = _children(proc.pid)
+        assert workers, "the simulation ran without a pool worker"
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    deadline = time.monotonic() + 5.0
+    while any(_alive(w) for w in workers) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    left = [w for w in workers if _alive(w)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left, f"orphaned pool worker(s) {left} outlived the daemon"
+
+
 # Two workloads x several policies -> two lockstep batches under
 # REPRO_NO_LOCKSTEP=0 (points sharing a workload share a program image).
 # gather's batch finishes fast; bsearch's batch runs long enough that a

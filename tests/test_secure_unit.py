@@ -186,3 +186,25 @@ def test_checked_wrappers_count_denials():
     policy.checked_may_issue_load(load_dyn(0), core)
     assert policy.stats.gate_checks == 2
     assert policy.stats.gate_denials == 1
+
+
+def test_levioso_matrix_width_is_bound_from_the_core_config():
+    from repro.uarch import CoreConfig
+
+    # Two live dependencies (branches 12 and 13), neither older than the
+    # load.  Precise tracking waits for them; a 1-wide matrix overflows
+    # and falls back to "wait for older unresolved branches" (none here).
+    # Live dependencies are otherwise older unresolved branches, so the
+    # fallback only changes a decision in a shape like this one.
+    root = completed_load_producer(seq=2, deps={12})
+    load = load_dyn(10, producer=root, control_deps={13})
+    core = FakeCore(unresolved={12, 13})
+    policy = LeviosoPolicy()
+    assert not policy.may_issue_load(load, core)
+    policy.configure(CoreConfig(dep_matrix_width=1))
+    assert policy.dep_matrix_width == 1
+    assert policy.may_issue_load(load, core)
+    policy.configure(CoreConfig(dep_matrix_width=2))
+    assert not policy.may_issue_load(load, core)
+    policy.configure(CoreConfig())
+    assert policy.dep_matrix_width is None
